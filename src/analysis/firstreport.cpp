@@ -27,15 +27,17 @@ struct FirstReportLocal {
 };
 
 /// Accumulates first-report statistics for events [r.begin, r.end).
-/// `cancel` is polled every 256 events; morsel bodies pass nullptr (the
-/// pool already polls per morsel).
-void FirstReportEventsRange(const engine::Database& db, IndexRange r,
+/// `index` is db.event_distinct_sources(), fetched once per call by the
+/// caller so parallel bodies never race to build it. `cancel` is polled
+/// every 256 events; morsel bodies pass nullptr (the pool already polls
+/// per morsel).
+void FirstReportEventsRange(const engine::Database& db,
+                            const CsrSetIndex& index, IndexRange r,
                             FirstReportLocal& local,
                             const util::CancelToken* cancel = nullptr) {
   const auto src = db.mention_source_id();
   const auto when = db.mention_interval();
   const auto event_when = db.mention_event_interval();
-  const auto& index = db.event_distinct_sources();
   for (std::size_t e = r.begin; e < r.end; ++e) {
     if ((e & 255) == 0 && util::Cancelled(cancel)) return;
     const auto rows =
@@ -97,6 +99,7 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
   stats.repeat_events.assign(ns, 0);
   stats.repeat_articles.assign(ns, 0);
 
+  const CsrSetIndex& index = db.event_distinct_sources();
   std::vector<FirstReportLocal> locals;
   if (backend == parallel::Backend::kMorselPool) {
     locals.resize(parallel::PoolSlots());
@@ -105,7 +108,7 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
         [&](IndexRange r, std::size_t slot) {
           auto& local = locals[slot];
           local.EnsureSized(ns, bins);
-          FirstReportEventsRange(db, r, local);
+          FirstReportEventsRange(db, index, r, local);
         },
         /*morsel_rows=*/0, cancel);
   } else {
@@ -123,7 +126,7 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
            ++e) {
         if ((e & 255) == 0 && util::Cancelled(cancel)) continue;
         FirstReportEventsRange(
-            db,
+            db, index,
             IndexRange{static_cast<std::size_t>(e),
                        static_cast<std::size_t>(e) + 1},
             local);
@@ -166,8 +169,8 @@ FirstReportStats ComputeFirstReportsOnEvents(const engine::Database& db,
   if (events_begin >= events_end) return stats;
   FirstReportLocal local;
   local.EnsureSized(ns, bins);
-  FirstReportEventsRange(db, IndexRange{events_begin, events_end}, local,
-                         cancel);
+  FirstReportEventsRange(db, db.event_distinct_sources(),
+                         IndexRange{events_begin, events_end}, local, cancel);
   stats.first_reports = std::move(local.first_reports);
   stats.first_delay_histogram = std::move(local.hist);
   stats.repeat_events = std::move(local.repeat_events);

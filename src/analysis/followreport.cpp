@@ -18,16 +18,17 @@ struct FollowScratch {
 };
 
 /// Accumulates follow counts for events [r.begin, r.end) into `local`.
-/// `cancel` is polled every 256 events; morsel bodies pass nullptr (the
-/// pool already polls per morsel).
-void FollowEventsRange(const engine::Database& db,
+/// `index` is db.event_distinct_sources(), fetched once per call by the
+/// caller so parallel bodies never race to build it. `cancel` is polled
+/// every 256 events; morsel bodies pass nullptr (the pool already polls
+/// per morsel).
+void FollowEventsRange(const engine::Database& db, const CsrSetIndex& index,
                        const std::vector<std::int32_t>& slot, std::size_t n,
                        IndexRange r, FollowScratch& scratch,
                        std::vector<std::uint64_t>& local,
                        const util::CancelToken* cancel = nullptr) {
   const auto src = db.mention_source_id();
   const auto when = db.mention_interval();
-  const auto& index = db.event_distinct_sources();
   scratch.first_pub.resize(n);
   for (std::size_t e = r.begin; e < r.end; ++e) {
     if ((e & 255) == 0 && util::Cancelled(cancel)) return;
@@ -88,6 +89,7 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
     result.articles[k] = per_source[subset[k]];
   }
   const std::size_t n = result.n;
+  const CsrSetIndex& index = db.event_distinct_sources();
 
   // Per-slot count matrices merged in slot order: no atomics on the hot
   // path and deterministic output under any scheduling (integer sums
@@ -101,7 +103,7 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
         [&](IndexRange r, std::size_t s) {
           auto& local = locals[s];
           if (local.size() != n * n) local.assign(n * n, 0);
-          FollowEventsRange(db, slot, n, r, scratch[s], local);
+          FollowEventsRange(db, index, slot, n, r, scratch[s], local);
         },
         /*morsel_rows=*/0, cancel);
     MergeTiledPartials(std::span<std::uint64_t>(result.follow_counts), locals);
@@ -123,7 +125,7 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
     for (std::int64_t e = 0; e < static_cast<std::int64_t>(db.num_events());
          ++e) {
       if ((e & 255) == 0 && util::Cancelled(cancel)) continue;
-      FollowEventsRange(db, slot, n,
+      FollowEventsRange(db, index, slot, n,
                         IndexRange{static_cast<std::size_t>(e),
                                    static_cast<std::size_t>(e) + 1},
                         scratch[tid], local);
@@ -154,8 +156,9 @@ FollowReportMatrix ComputeFollowReportingOnEvents(
   events_end = std::min(events_end, db.num_events());
   if (result.n == 0 || events_begin >= events_end) return result;
   FollowScratch scratch;
-  FollowEventsRange(db, slot, result.n, IndexRange{events_begin, events_end},
-                    scratch, result.follow_counts, cancel);
+  FollowEventsRange(db, db.event_distinct_sources(), slot, result.n,
+                    IndexRange{events_begin, events_end}, scratch,
+                    result.follow_counts, cancel);
   return result;
 }
 

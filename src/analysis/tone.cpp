@@ -1,22 +1,36 @@
 #include "analysis/tone.hpp"
 
+#include <algorithm>
+
 #include "parallel/parallel.hpp"
 
 namespace gdelt::analysis {
 namespace {
 
-/// Generic parallel mean-by-bin over events: per-thread partials, merged
-/// deterministically.
+/// Bounds on the summation blocks of MeanByBin: at most kToneMaxBlocks
+/// blocks of at least kToneMinBlockEvents events. The block boundaries
+/// depend only on the event count, so the float sums do not depend on how
+/// many threads run the blocks, and the partials stay bounded by
+/// kToneMaxBlocks x bins.
+constexpr std::size_t kToneMaxBlocks = 256;
+constexpr std::size_t kToneMinBlockEvents = 1024;
+
+/// Generic parallel mean-by-bin over events: one partial per event block,
+/// merged in block order, so the result is bitwise identical at every
+/// team size.
 template <typename BinFn, typename ValueFn>
 std::vector<MeanAccumulator> MeanByBin(const engine::Database& db,
                                        std::size_t bins, BinFn&& bin_of,
                                        ValueFn&& value_of) {
-  const auto nt = static_cast<std::size_t>(MaxThreads());
-  std::vector<std::vector<MeanAccumulator>> locals(nt);
-  ParallelForChunks(db.num_events(), [&](IndexRange r, int tid) {
-    auto& local = locals[static_cast<std::size_t>(tid)];
-    local.assign(bins, MeanAccumulator{});
-    for (std::size_t e = r.begin; e < r.end; ++e) {
+  const std::size_t events = db.num_events();
+  const std::size_t min_size_blocks =
+      (events + kToneMinBlockEvents - 1) / kToneMinBlockEvents;
+  const auto blocks =
+      SplitRange(events, std::min(kToneMaxBlocks, min_size_blocks));
+  std::vector<MeanAccumulator> partials(blocks.size() * bins);
+  ParallelFor(blocks.size(), [&](std::size_t block) {
+    MeanAccumulator* local = partials.data() + block * bins;
+    for (std::size_t e = blocks[block].begin; e < blocks[block].end; ++e) {
       const std::size_t b = bin_of(e);
       if (b >= bins) continue;
       local[b].sum += value_of(e);
@@ -24,11 +38,10 @@ std::vector<MeanAccumulator> MeanByBin(const engine::Database& db,
     }
   });
   std::vector<MeanAccumulator> merged(bins);
-  for (const auto& local : locals) {
-    if (local.empty()) continue;
+  for (std::size_t block = 0; block < blocks.size(); ++block) {
     for (std::size_t b = 0; b < bins; ++b) {
-      merged[b].sum += local[b].sum;
-      merged[b].count += local[b].count;
+      merged[b].sum += partials[block * bins + b].sum;
+      merged[b].count += partials[block * bins + b].count;
     }
   }
   return merged;

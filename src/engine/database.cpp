@@ -1,12 +1,14 @@
 #include "engine/database.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "convert/binary_format.hpp"
 #include "parallel/numa.hpp"
 #include "parallel/parallel.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
+#include "util/sync.hpp"
 
 namespace gdelt::engine {
 namespace {
@@ -70,14 +72,66 @@ CsrSetIndex BuildEventDistinctSources(const CsrIndex& by_event,
   return index;
 }
 
+const MemoTag<CsrSetIndex> kEventDistinctSources{
+    "memo.build.event_distinct_sources",
+    [](const CsrSetIndex& index) { return index.MemoryBytes(); }};
+
 }  // namespace
 
+/// The memo entries. `mu` is a leaf lock: it guards only the entry list
+/// and is never held while a value is built.
+struct Database::MemoStore {
+  struct Entry {
+    const void* key = nullptr;
+    std::shared_ptr<const void> value;
+    std::size_t bytes = 0;
+  };
+  mutable sync::Mutex mu;
+  std::vector<Entry> entries GDELT_GUARDED_BY(mu);
+  std::atomic<std::uint64_t> builds{0};
+  std::atomic<std::uint64_t> hits{0};
+};
+
+Database::Database() : memo_(std::make_unique<MemoStore>()) {}
+Database::~Database() = default;
+Database::Database(Database&&) noexcept = default;
+Database& Database::operator=(Database&&) noexcept = default;
+
+std::shared_ptr<const void> Database::MemoFind(const void* key) const {
+  sync::MutexLock lock(memo_->mu);
+  for (const MemoStore::Entry& entry : memo_->entries) {
+    if (entry.key == key) {
+      memo_->hits.fetch_add(1, std::memory_order_relaxed);
+      return entry.value;
+    }
+  }
+  return nullptr;
+}
+
+std::shared_ptr<const void> Database::MemoPublish(
+    const void* key, std::shared_ptr<const void> value,
+    std::size_t bytes) const {
+  memo_->builds.fetch_add(1, std::memory_order_relaxed);
+  sync::MutexLock lock(memo_->mu);
+  for (const MemoStore::Entry& entry : memo_->entries) {
+    if (entry.key == key) return entry.value;  // an earlier build won
+  }
+  memo_->entries.push_back({key, value, bytes});
+  return value;
+}
+
+Database::MemoStats Database::memo_stats() const noexcept {
+  return {memo_->builds.load(std::memory_order_relaxed),
+          memo_->hits.load(std::memory_order_relaxed)};
+}
+
 const CsrSetIndex& Database::event_distinct_sources() const {
-  std::call_once(lazy_->distinct_sources_once, [this] {
-    lazy_->distinct_sources = BuildEventDistinctSources(
-        mentions_by_event_, mention_source_id_, num_events_);
-  });
-  return lazy_->distinct_sources;
+  // Without a cancel token the build always publishes, so value() holds;
+  // the entry lives as long as the database.
+  return *Memo(kEventDistinctSources, [this] {
+            return BuildEventDistinctSources(mentions_by_event_,
+                                             mention_source_id_, num_events_);
+          }).value();
 }
 
 Result<Database> Database::Load(const std::string& dir,
@@ -211,7 +265,10 @@ std::size_t Database::MemoryBytes() const noexcept {
            mentions_by_event_.rows.capacity() * sizeof(std::uint64_t);
   total += mentions_by_source_.offsets.capacity() * sizeof(std::uint64_t) +
            mentions_by_source_.rows.capacity() * sizeof(std::uint64_t);
-  if (lazy_) total += lazy_->distinct_sources.MemoryBytes();
+  if (memo_) {
+    sync::MutexLock lock(memo_->mu);
+    for (const MemoStore::Entry& entry : memo_->entries) total += entry.bytes;
+  }
   return total;
 }
 

@@ -4,20 +4,24 @@
 // (event -> mentions, source -> mentions) and derived columns (source ->
 // country via TLD), and hands out typed spans for the query kernels. After
 // Load() everything is read-only — the paper's core architectural bet —
-// so queries run lock-free across all threads.
+// so queries run lock-free across all threads. Aggregates that depend on
+// nothing but these tables are computed once, on first use, and kept in
+// the database's memo (Database::Memo).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "columnar/csr.hpp"
 #include "columnar/dictionary.hpp"
 #include "columnar/table.hpp"
 #include "schema/countries.hpp"
+#include "trace/trace.hpp"
+#include "util/cancel.hpp"
 #include "util/status.hpp"
 
 namespace gdelt::engine {
@@ -31,9 +35,24 @@ struct LoadOptions {
   bool numa_first_touch = true;
 };
 
+/// Key of one memoized whole-base aggregate of type T. Declare each tag
+/// once, with static storage duration: its address is the memo key.
+template <typename T>
+struct MemoTag {
+  /// Trace span around a build, "memo.build.<aggregate>".
+  const char* span;
+  /// Heap footprint of a built value, counted in Database::MemoryBytes().
+  std::size_t (*bytes)(const T&);
+};
+
 /// Read-only, fully materialized database.
 class Database {
  public:
+  Database();
+  ~Database();
+  Database(Database&&) noexcept;
+  Database& operator=(Database&&) noexcept;
+
   /// Loads a directory written by convert::ConvertDataset.
   static Result<Database> Load(const std::string& dir,
                                const LoadOptions& options = {});
@@ -108,11 +127,49 @@ class Database {
 
   /// Memoized event -> distinct-source index: for every event row, the
   /// sorted, deduplicated source ids that reported on it. Built lazily in
-  /// parallel on first use (thread-safe) and cached for the lifetime of
+  /// parallel on first use (a Memo entry) and kept for the lifetime of
   /// the database; the whole co-reporting query family shares it instead
   /// of re-walking mentions_by_event() and re-sorting per event on every
-  /// invocation. Requires LoadOptions::build_indexes.
+  /// invocation. Requires LoadOptions::build_indexes. Kernels fetch it
+  /// once per call, outside their parallel bodies: callers that miss at
+  /// the same moment each build a copy.
   const CsrSetIndex& event_distinct_sources() const;
+
+  /// The memoized value of `tag`, built by `build()` (returning T) on
+  /// first use. Thread-safe: the build runs outside the memo's lock, so
+  /// callers racing on a missing entry may each build; the first to
+  /// finish publishes and every caller gets that value. A build whose
+  /// `cancel` token has fired publishes nothing and yields kCancelled
+  /// (a pre-cancelled call does not build at all). Entries live as long
+  /// as the database.
+  template <typename T, typename Build>
+  Result<std::shared_ptr<const T>> Memo(
+      const MemoTag<T>& tag, Build&& build,
+      const util::CancelToken* cancel = nullptr) const {
+    if (auto hit = MemoFind(&tag)) return std::static_pointer_cast<const T>(hit);
+    if (util::Cancelled(cancel)) {
+      return status::Cancelled("memo build cancelled");
+    }
+    std::shared_ptr<const T> built;
+    {
+      trace::Span span(tag.span);
+      built = std::make_shared<const T>(std::forward<Build>(build)());
+    }
+    if (util::Cancelled(cancel)) {
+      return status::Cancelled("memo build cancelled");
+    }
+    const std::size_t bytes = tag.bytes(*built);
+    return std::static_pointer_cast<const T>(
+        MemoPublish(&tag, std::move(built), bytes));
+  }
+
+  /// Memo activity since load: builds run to completion (a build that
+  /// lost a publish race counts too) and lookups served from an entry.
+  struct MemoStats {
+    std::uint64_t builds = 0;
+    std::uint64_t hits = 0;
+  };
+  MemoStats memo_stats() const noexcept;
 
   const StringDictionary& sources() const noexcept { return sources_; }
 
@@ -125,10 +182,20 @@ class Database {
   std::int64_t first_interval() const noexcept { return first_interval_; }
   std::int64_t last_interval() const noexcept { return last_interval_; }
 
-  /// Total heap footprint (tables + indexes), for the load report.
+  /// Total heap footprint (tables + indexes + memo), for the load report.
   std::size_t MemoryBytes() const noexcept;
 
  private:
+  struct MemoStore;
+
+  /// The published value of `key`, or nullptr (counts a hit when found).
+  std::shared_ptr<const void> MemoFind(const void* key) const;
+  /// Publishes `value` under `key` unless an entry already exists; returns
+  /// whichever value is published.
+  std::shared_ptr<const void> MemoPublish(const void* key,
+                                          std::shared_ptr<const void> value,
+                                          std::size_t bytes) const;
+
   Table events_;
   Table mentions_;
   StringDictionary sources_;
@@ -156,13 +223,9 @@ class Database {
   std::int64_t first_interval_ = 0;
   std::int64_t last_interval_ = 0;
 
-  // Lazily built query-side indexes. Held behind a pointer so Database
-  // stays movable (std::once_flag is not).
-  struct LazyIndexes {
-    std::once_flag distinct_sources_once;
-    CsrSetIndex distinct_sources;
-  };
-  std::unique_ptr<LazyIndexes> lazy_ = std::make_unique<LazyIndexes>();
+  // Behind a pointer so Database stays movable (the lock is not) and
+  // references into memoized values survive a move.
+  std::unique_ptr<MemoStore> memo_;
 };
 
 }  // namespace gdelt::engine

@@ -39,7 +39,11 @@ std::vector<std::uint64_t> ArticlesPerSource(const Database& db,
 
 std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,
                                                 std::size_t k) {
-  const auto counts = ArticlesPerSource(db);
+  return RankSourcesByArticles(ArticlesPerSource(db), k);
+}
+
+std::vector<std::uint32_t> RankSourcesByArticles(
+    const std::vector<std::uint64_t>& counts, std::size_t k) {
   std::vector<std::uint32_t> ids(counts.size());
   std::iota(ids.begin(), ids.end(), 0u);
   const std::size_t take = std::min(k, ids.size());

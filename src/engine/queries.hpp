@@ -22,6 +22,12 @@ std::vector<std::uint64_t> ArticlesPerSource(
 std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,
                                                 std::size_t k);
 
+/// The TopSourcesByArticles ranking of a per-source-id count vector: the
+/// `k` ids with the highest counts, descending, ties by id. A total
+/// order, so the ranking for k is a prefix of the ranking for any larger k.
+std::vector<std::uint32_t> RankSourcesByArticles(
+    const std::vector<std::uint64_t>& counts, std::size_t k);
+
 /// One row of the Table III result.
 struct TopEvent {
   std::uint32_t event_row = 0;

@@ -99,6 +99,8 @@ std::string ServerMetrics::ToJson(const Gauges& gauges) const {
   counter("cache_text_bytes", gauges.cache_text_bytes);
   counter("cache_evicted_stale", gauges.cache_evicted_stale);
   counter("morsels_skipped", gauges.morsels_skipped);
+  counter("base_memo_builds", gauges.base_memo_builds);
+  counter("base_memo_hits", gauges.base_memo_hits);
   out += StrFormat("\"retry_after_ms\":%lld,",
                    static_cast<long long>(gauges.retry_after_ms));
   out += StrFormat("\"uptime_s\":%.1f,", gauges.uptime_s);

@@ -102,6 +102,9 @@ class ServerMetrics {
     // cancellation/overload health
     std::uint64_t morsels_skipped = 0;   ///< pool morsels drained as no-ops
     std::int64_t retry_after_ms = 0;     ///< last backoff hint handed out
+    // whole-base aggregate memo (engine::Database::memo_stats)
+    std::uint64_t base_memo_builds = 0;
+    std::uint64_t base_memo_hits = 0;
   };
 
   /// The `metrics` response payload: one JSON object (no trailing

@@ -45,23 +45,6 @@ engine::Shard MentionShardFor(const engine::Database& db, std::uint32_t shard,
   return shards[shard];
 }
 
-/// Source ids ranked (counts desc, id asc) — the TopSourcesByArticles
-/// comparator, applied to a merged count vector at the router.
-std::vector<std::uint32_t> RankByCountThenId(
-    const std::vector<std::uint64_t>& counts, std::size_t top_k) {
-  std::vector<std::uint32_t> ids(counts.size());
-  std::iota(ids.begin(), ids.end(), 0u);
-  const std::size_t take = std::min(top_k, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take), ids.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                      if (counts[a] != counts[b]) return counts[a] > counts[b];
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
 std::vector<std::string> DomainsOf(const engine::Database& db,
                                    std::span<const std::uint32_t> ids) {
   std::vector<std::string> out;
@@ -585,7 +568,7 @@ Result<std::string> MergeTopSources(const Request& r,
     first = false;
   }
   const auto ids = r.restricted ? RankSources(counts, r.top_k)
-                                : RankByCountThenId(counts, r.top_k);
+                                : engine::RankSourcesByArticles(counts, r.top_k);
   std::vector<std::string> labels;
   std::vector<std::uint64_t> top_counts;
   for (const std::uint32_t s : ids) {

@@ -74,6 +74,8 @@ std::string PrometheusText(const ServerMetrics& metrics,
   Gauge(out, "gdelt_uptime_seconds", gauges.uptime_s);
   Gauge(out, "gdelt_last_ingest_age_seconds", gauges.last_ingest_age_s);
   Counter(out, "gdelt_morsels_skipped_total", gauges.morsels_skipped);
+  Counter(out, "gdelt_base_memo_builds_total", gauges.base_memo_builds);
+  Counter(out, "gdelt_base_memo_hits_total", gauges.base_memo_hits);
   Gauge(out, "gdelt_retry_after_ms",
         static_cast<double>(gauges.retry_after_ms));
 

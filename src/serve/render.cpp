@@ -5,15 +5,10 @@
 #include <vector>
 
 #include "analysis/coreport.hpp"
-#include "analysis/country.hpp"
-#include "analysis/delay.hpp"
-#include "analysis/distributions.hpp"
-#include "analysis/firstreport.hpp"
 #include "analysis/followreport.hpp"
-#include "analysis/stats.hpp"
-#include "analysis/tone.hpp"
 #include "engine/filter.hpp"
 #include "engine/queries.hpp"
+#include "serve/base_memo.hpp"
 #include "serve/partial.hpp"
 #include "serve/render_text.hpp"
 #include "util/strings.hpp"
@@ -112,15 +107,17 @@ Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
   }
   RenderedQuery out;
   if (query == "stats") {
-    out.text = analysis::ComputeDatasetStatistics(db).ToText();
+    GDELT_ASSIGN_OR_RETURN(const auto base, BaseDatasetStats(db, cancel));
+    out.text = base->table.ToText();
     Appendf(out.text, "Event-size power-law alpha (MLE, xmin=2): %.2f\n",
-            analysis::EventSizePowerLawAlpha(db, 2));
+            base->power_law_alpha);
     return out;
   }
   if (query == "top-sources") {
-    const auto counts = engine::ArticlesPerSource(db);
-    const auto top = engine::TopSourcesByArticles(db, top_k);
-    AppendTopSourcesText(out.text, SourceLabels(db, top), CountsOf(counts, top),
+    GDELT_ASSIGN_OR_RETURN(const auto ranking, BaseSourceRanking(db, cancel));
+    const auto top = ranking->Top(top_k);
+    AppendTopSourcesText(out.text, SourceLabels(db, top),
+                         CountsOf(ranking->articles, top),
                          /*restricted=*/false);
     return out;
   }
@@ -136,16 +133,18 @@ Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
     return out;
   }
   if (query == "quarterly") {
+    GDELT_ASSIGN_OR_RETURN(const auto series, BaseQuarterSeries(db, cancel));
     AppendQuarterSeries(out.text, "Active sources per quarter (Fig 3):",
-                        engine::ActiveSourcesPerQuarter(db));
+                        series->active_sources);
     AppendQuarterSeries(out.text, "Events per quarter (Fig 4):",
-                        engine::EventsPerQuarter(db));
+                        series->events);
     AppendQuarterSeries(out.text, "Articles per quarter (Fig 5):",
-                        engine::ArticlesPerQuarter(db));
+                        series->articles);
     return out;
   }
   if (query == "coreport") {
-    const auto top = engine::TopSourcesByArticles(db, top_k);
+    GDELT_ASSIGN_OR_RETURN(const auto ranking, BaseSourceRanking(db, cancel));
+    const auto top = ranking->Top(top_k);
     analysis::TiledCoReportOptions coreport_options;
     coreport_options.use_morsel_pool =
         backend == parallel::Backend::kMorselPool;
@@ -156,72 +155,79 @@ Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
     return out;
   }
   if (query == "follow") {
-    const auto top = engine::TopSourcesByArticles(db, top_k);
+    GDELT_ASSIGN_OR_RETURN(const auto ranking, BaseSourceRanking(db, cancel));
+    const auto top = ranking->Top(top_k);
     const auto matrix = analysis::ComputeFollowReporting(db, top, backend,
                                                          cancel);
     AppendFollowText(out.text, SourceLabels(db, top), matrix);
     return out;
   }
   if (query == "country-coreport") {
-    const auto report = analysis::ComputeCountryCoReporting(db, cancel);
-    const auto top = engine::CountriesByPublishedArticles(db, top_k);
-    AppendCountryCoreportText(out.text, top, report);
+    GDELT_ASSIGN_OR_RETURN(const auto report, BaseCountryCoReport(db, cancel));
+    GDELT_ASSIGN_OR_RETURN(const auto ranking,
+                           BaseCountryRankings(db, cancel));
+    AppendCountryCoreportText(out.text, ranking->TopPublishing(top_k),
+                              *report);
     return out;
   }
   if (query == "cross-report") {
-    const auto report = engine::CountryCrossReporting(db);
-    const auto reported = engine::CountriesByReportedEvents(db, top_k);
-    const auto publishing = engine::CountriesByPublishedArticles(db, top_k);
-    AppendCrossReportText(out.text, reported, publishing, report,
+    GDELT_ASSIGN_OR_RETURN(const auto report, BaseCrossReport(db, cancel));
+    GDELT_ASSIGN_OR_RETURN(const auto ranking,
+                           BaseCountryRankings(db, cancel));
+    AppendCrossReportText(out.text, ranking->TopReported(top_k),
+                          ranking->TopPublishing(top_k), *report,
                           /*restricted=*/false);
     return out;
   }
   if (query == "delay") {
-    const auto stats = analysis::PerSourceDelayStats(db, backend, cancel);
-    const auto top = engine::TopSourcesByArticles(db, top_k);
+    GDELT_ASSIGN_OR_RETURN(const auto delay,
+                           BaseDelayStats(db, backend, cancel));
+    GDELT_ASSIGN_OR_RETURN(const auto ranking, BaseSourceRanking(db, cancel));
+    const auto top = ranking->Top(top_k);
     std::vector<analysis::DelayStats> top_stats;
     top_stats.reserve(top.size());
-    for (const std::uint32_t s : top) top_stats.push_back(stats[s]);
+    for (const std::uint32_t s : top) top_stats.push_back(delay->per_source[s]);
     AppendDelayText(out.text, SourceLabels(db, top), top_stats,
-                    analysis::QuarterlyDelayStats(db));
+                    delay->quarterly);
     return out;
   }
   if (query == "tone") {
-    const auto by_quad = analysis::ToneByQuadClass(db);
+    GDELT_ASSIGN_OR_RETURN(const auto tone, BaseToneAggregates(db, cancel));
+    GDELT_ASSIGN_OR_RETURN(const auto ranking,
+                           BaseCountryRankings(db, cancel));
     static constexpr const char* kQuadNames[] = {
         "", "verbal cooperation", "material cooperation", "verbal conflict",
         "material conflict"};
     Appendf(out.text, "Average tone / Goldstein by CAMEO quad class:\n");
     for (std::size_t q = 1; q <= 4; ++q) {
       Appendf(out.text, "  %-22s tone %+6.2f  goldstein %+6.2f  (%s events)\n",
-              kQuadNames[q], by_quad.tone[q].Mean(),
-              by_quad.goldstein[q].Mean(),
-              WithThousands(by_quad.tone[q].count).c_str());
+              kQuadNames[q], tone->by_quad.tone[q].Mean(),
+              tone->by_quad.goldstein[q].Mean(),
+              WithThousands(tone->by_quad.tone[q].count).c_str());
     }
-    const auto by_country = analysis::AverageToneByCountry(db);
-    const auto reported = engine::CountriesByReportedEvents(db, top_k);
     Appendf(out.text, "\nAverage event tone by located country:\n");
-    for (const CountryId c : reported) {
+    for (const CountryId c : ranking->TopReported(top_k)) {
       Appendf(out.text, "  %-14s %+6.2f  (%s events)\n",
-              std::string(CountryName(c)).c_str(), by_country[c].Mean(),
-              WithThousands(by_country[c].count).c_str());
+              std::string(CountryName(c)).c_str(), tone->by_country[c].Mean(),
+              WithThousands(tone->by_country[c].count).c_str());
     }
     return out;
   }
   if (query == "first-reports") {
-    const auto stats = analysis::ComputeFirstReports(db, /*histogram_bins=*/18,
-                                                     backend, cancel);
-    const auto counts = engine::ArticlesPerSource(db);
-    const auto by_breaks = RankSources(stats.first_reports, top_k);
+    GDELT_ASSIGN_OR_RETURN(const auto stats,
+                           BaseFirstReports(db, backend, cancel));
+    GDELT_ASSIGN_OR_RETURN(const auto ranking, BaseSourceRanking(db, cancel));
+    const auto& counts = ranking->articles;
+    const auto by_breaks = RankSources(stats->first_reports, top_k);
     std::vector<std::uint64_t> breaks;
     std::vector<double> rate_pct;
     for (const std::uint32_t s : by_breaks) {
-      breaks.push_back(stats.first_reports[s]);
-      rate_pct.push_back(100.0 * stats.RepeatRate(s, counts[s]));
+      breaks.push_back(stats->first_reports[s]);
+      rate_pct.push_back(100.0 * stats->RepeatRate(s, counts[s]));
     }
     AppendFirstReportsText(out.text, SourceLabels(db, by_breaks), breaks,
                            CountsOf(counts, by_breaks), rate_pct,
-                           stats.events_broken_within_hour, db.num_events());
+                           stats->events_broken_within_hour, db.num_events());
     return out;
   }
   return status::InvalidArgument("unknown query '" + query + "'");

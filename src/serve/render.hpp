@@ -28,6 +28,9 @@ struct RenderedQuery {
 /// result. Window/confidence restrictions apply to the same kinds they
 /// apply to in the CLI (top-sources, cross-report, coreport); other kinds
 /// ignore them, also like the CLI. Unknown kinds -> InvalidArgument.
+/// Unrestricted requests take their whole-base aggregates from the
+/// database's memo (serve/base_memo.hpp), so only the first request that
+/// needs one pays its scan.
 ///
 /// `backend` selects the execution substrate for the kernels that have
 /// both: the shared morsel pool (default; restricted kinds additionally

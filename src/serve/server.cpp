@@ -209,6 +209,9 @@ ServerMetrics::Gauges Server::GaugesNow() const {
     g.ingest_quarantined = fetch.quarantined;
   }
   g.morsels_skipped = parallel::MorselPool::Shared().stats().morsels_skipped;
+  const auto memo = db_.memo_stats();
+  g.base_memo_builds = memo.builds;
+  g.base_memo_hits = memo.hits;
   g.retry_after_ms = last_retry_after_ms_.load();
   g.last_ingest_generation = last_ingest_generation_.load();
   const std::int64_t last_ms = last_ingest_ms_.load();

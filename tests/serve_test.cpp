@@ -375,6 +375,10 @@ TEST_F(ServeTest, SecondRequestIsServedFromCache) {
   ASSERT_NE(m.Find("metrics"), nullptr);
   EXPECT_GE(m.Find("metrics")->Find("cache_hits")->AsInt(), 1);
   EXPECT_GE(m.Find("metrics")->Find("cache_misses")->AsInt(), 1);
+  // Only the uncached request reached the base memo, and built the source
+  // ranking there.
+  EXPECT_EQ(m.Find("metrics")->Find("base_memo_builds")->AsInt(), 1);
+  EXPECT_EQ(m.Find("metrics")->Find("base_memo_hits")->AsInt(), 0);
 }
 
 TEST_F(ServeTest, IngestBumpsEpochAndInvalidatesCache) {
@@ -770,6 +774,7 @@ TEST_F(ServeTest, PrometheusExpositionGolden) {
   EXPECT_GE(PromValue(scrape1, "gdelt_cache_misses_total"), 1.0);
   EXPECT_GE(PromValue(scrape1, "gdelt_unknown_queries_total"), 1.0);
   EXPECT_GE(PromValue(scrape1, "gdelt_workers"), 1.0);
+  EXPECT_EQ(PromValue(scrape1, "gdelt_base_memo_builds_total"), 1.0);
 
   // Histogram: cumulative `le` buckets, +Inf bucket == _count, and the
   // bucket counts never decrease as `le` grows.
@@ -814,6 +819,7 @@ TEST_F(ServeTest, PrometheusExpositionGolden) {
   }
   EXPECT_GT(PromValue(scrape2, "gdelt_requests_total"),
             PromValue(scrape1, "gdelt_requests_total"));
+  EXPECT_EQ(PromValue(scrape2, "gdelt_base_memo_builds_total"), 2.0);
 }
 
 // --------------------------------------------------------------- trace --

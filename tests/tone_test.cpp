@@ -5,6 +5,7 @@
 #include "convert/converter.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
+#include "parallel/parallel.hpp"
 #include "test_util.hpp"
 
 namespace gdelt::analysis {
@@ -76,6 +77,29 @@ TEST_F(ToneTest, ByCountryMatchesBruteForce) {
   ASSERT_GT(count, 0u);
   EXPECT_EQ(by_country[country::kUSA].count, count);
   EXPECT_NEAR(by_country[country::kUSA].Mean(), sum / count, 1e-9);
+}
+
+TEST_F(ToneTest, SumsAreIndependentOfTeamSize) {
+  const int saved = MaxThreads();
+  SetThreads(1);
+  const auto by_country = AverageToneByCountry(*db_);
+  const auto by_quad = ToneByQuadClass(*db_);
+  for (const int threads : {2, 3, 4}) {
+    SetThreads(threads);
+    const auto country = AverageToneByCountry(*db_);
+    const auto quad = ToneByQuadClass(*db_);
+    ASSERT_EQ(country.size(), by_country.size());
+    for (std::size_t c = 0; c < country.size(); ++c) {
+      EXPECT_EQ(country[c].sum, by_country[c].sum)
+          << "country " << c << ", " << threads << " threads";
+      EXPECT_EQ(country[c].count, by_country[c].count);
+    }
+    for (std::size_t q = 0; q < 5; ++q) {
+      EXPECT_EQ(quad.tone[q].sum, by_quad.tone[q].sum) << threads;
+      EXPECT_EQ(quad.goldstein[q].sum, by_quad.goldstein[q].sum) << threads;
+    }
+  }
+  SetThreads(saved);
 }
 
 TEST_F(ToneTest, QuarterlyToneCoversAllEvents) {
